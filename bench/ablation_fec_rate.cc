@@ -15,19 +15,14 @@
 
 using namespace mcc;
 
-namespace {
-// --sched: every simulated world this bench builds runs the chosen policy.
-sim::scheduler_config g_sched;
-}  // namespace
-
 int main(int argc, char** argv) {
   util::flag_set flags("FEC-rate ablation for SIGMA control packets");
   flags.add("duration", "120", "seconds per run");
   flags.add("seed", "41", "simulation seed");
   exp::add_sweep_flags(flags);
-  exp::add_sched_flag(flags);
+  exp::add_world_flags(flags);
   if (!flags.parse(argc, argv)) return 1;
-  g_sched = exp::sched_config_from_flags(flags);
+  const exp::world_options world = exp::world_options_from_flags(flags);
   const double duration = flags.f64("duration");
   const auto base_seed = static_cast<std::uint64_t>(flags.i64("seed"));
   const auto opts = exp::sweep_options_from_flags(flags, base_seed);
@@ -38,7 +33,7 @@ int main(int argc, char** argv) {
       {0.0, 2.0, 4.0, 8.0}, opts, [&](const exp::sweep_point& pt) {
         const int m = static_cast<int>(pt.x);
         exp::dumbbell_config cfg;
-        cfg.sched = g_sched;
+        cfg.world() = world;
         cfg.bottleneck_bps = 500e3;
         // Same seed for every FEC configuration: identical cross traffic, so
         // the decode rates are directly comparable (deliberately NOT the

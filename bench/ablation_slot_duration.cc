@@ -15,20 +15,15 @@
 
 using namespace mcc;
 
-namespace {
-// --sched: every simulated world this bench builds runs the chosen policy.
-sim::scheduler_config g_sched;
-}  // namespace
-
 int main(int argc, char** argv) {
   util::flag_set flags("Slot-duration ablation for FLID-DS");
   flags.add("duration", "120", "seconds per run");
   flags.add("inflate_at", "40", "attack start, seconds");
   flags.add("seed", "37", "simulation seed");
   exp::add_sweep_flags(flags);
-  exp::add_sched_flag(flags);
+  exp::add_world_flags(flags);
   if (!flags.parse(argc, argv)) return 1;
-  g_sched = exp::sched_config_from_flags(flags);
+  const exp::world_options world = exp::world_options_from_flags(flags);
 
   const double duration = flags.f64("duration");
   const auto inflate_at = sim::seconds(flags.f64("inflate_at"));
@@ -40,7 +35,7 @@ int main(int argc, char** argv) {
       [&](const exp::sweep_point& pt) {
         const int slot_ms = static_cast<int>(pt.x);
         exp::dumbbell_config cfg;
-        cfg.sched = g_sched;
+        cfg.world() = world;
         cfg.bottleneck_bps = 1e6;
         cfg.seed = pt.seed;
         exp::testbed d(exp::dumbbell(cfg));
@@ -51,8 +46,7 @@ int main(int argc, char** argv) {
         fc.upgrade_prob = 0.3 * slot_ms / 500.0;
 
         exp::receiver_options attacker;
-        attacker.inflate = true;
-        attacker.inflate_at = inflate_at;
+        attacker.attack = adversary::inflate_once(inflate_at);
         auto& f1 = d.add_flid_session(exp::flid_mode::ds, fc, {attacker});
         auto& f2 = d.add_flid_session(exp::flid_mode::ds, fc,
                                       {exp::receiver_options{}});

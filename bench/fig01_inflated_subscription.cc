@@ -19,11 +19,6 @@
 
 using namespace mcc;
 
-namespace {
-// --sched: every simulated world this bench builds runs the chosen policy.
-sim::scheduler_config g_sched;
-}  // namespace
-
 int main(int argc, char** argv) {
   util::flag_set flags("Figure 1: inflated subscription under FLID-DL");
   flags.add("duration", "200", "experiment length, seconds");
@@ -31,9 +26,9 @@ int main(int argc, char** argv) {
   flags.add("inflate_level", "6", "subscription level the attacker jumps to (0 = all)");
   flags.add("seed", "7", "simulation seed");
   exp::add_sweep_flags(flags);
-  exp::add_sched_flag(flags);
+  exp::add_world_flags(flags);
   if (!flags.parse(argc, argv)) return 1;
-  g_sched = exp::sched_config_from_flags(flags);
+  const exp::world_options world = exp::world_options_from_flags(flags);
 
   const double duration = flags.f64("duration");
   const double inflate_at_s = flags.f64("inflate_at");
@@ -44,7 +39,7 @@ int main(int argc, char** argv) {
   const auto rows = exp::run_sweep(
       {1.0}, opts, [&](const exp::sweep_point& pt) {
         exp::dumbbell_config cfg;
-        cfg.sched = g_sched;
+        cfg.world() = world;
         cfg.bottleneck_bps = 1e6;
         cfg.seed = pt.seed;
         exp::testbed d(exp::dumbbell(cfg));

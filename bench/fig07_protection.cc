@@ -18,11 +18,6 @@
 
 using namespace mcc;
 
-namespace {
-// --sched: every simulated world this bench builds runs the chosen policy.
-sim::scheduler_config g_sched;
-}  // namespace
-
 int main(int argc, char** argv) {
   util::flag_set flags("Figure 7: FLID-DS under the inflated-subscription attack");
   flags.add("duration", "200", "experiment length, seconds");
@@ -30,11 +25,10 @@ int main(int argc, char** argv) {
   flags.add("attack-keys", "guess",
             "how unprovable layers are backed: best_effort|replay|guess");
   flags.add("seed", "7", "simulation seed");
-  exp::add_interface_keying_flag(flags);
   exp::add_sweep_flags(flags);
-  exp::add_sched_flag(flags);
+  exp::add_world_flags(flags, {.interface_keying = "off"});
   if (!flags.parse(argc, argv)) return 1;
-  g_sched = exp::sched_config_from_flags(flags);
+  const exp::world_options world = exp::world_options_from_flags(flags);
 
   const double duration = flags.f64("duration");
   const double inflate_at_s = flags.f64("inflate_at");
@@ -43,14 +37,12 @@ int main(int argc, char** argv) {
   // Off (the paper's setup) unless asked for. This is a single-scenario
   // figure, so the axis spelling "both" would silently pick one value —
   // reject it with the usual friendly flag UX instead.
-  const auto keying_axis = exp::interface_keying_axis_from_flags(flags);
-  if (keying_axis.size() > 1) {
+  if (exp::interface_keying_axis_from_flags(flags).size() > 1) {
     std::fprintf(stderr,
                  "bad value for --interface-keying: 'both' (this bench runs "
                  "one scenario; use off or on)\n");
     return 1;
   }
-  const bool keying = keying_axis.front();
   const auto opts = exp::sweep_options_from_flags(
       flags, static_cast<std::uint64_t>(flags.i64("seed")));
   const bool tracing = exp::trace_requested(flags);
@@ -65,10 +57,9 @@ int main(int argc, char** argv) {
         obs::trace_buffer tb;
         obs::trace_scope scope(tracing ? &tb : nullptr);
         exp::dumbbell_config cfg;
-        cfg.sched = g_sched;
+        cfg.world() = world;
         cfg.bottleneck_bps = 1e6;
         cfg.seed = pt.seed;
-        cfg.interface_keying = keying;
         exp::testbed d(exp::dumbbell(cfg));
 
         exp::receiver_options attacker;

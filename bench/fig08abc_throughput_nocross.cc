@@ -23,21 +23,16 @@
 using namespace mcc;
 
 namespace {
-// --sched: every simulated world this bench builds runs the chosen policy.
-sim::scheduler_config g_sched;
-}  // namespace
-
-namespace {
 
 struct run_result {
   exp::series individual_kbps;  // x = receiver number (1-based)
   double average_kbps = 0.0;
 };
 
-run_result run(exp::flid_mode mode, int sessions, double duration_s,
-               std::uint64_t seed) {
+run_result run(const exp::world_options& world, exp::flid_mode mode,
+               int sessions, double duration_s, std::uint64_t seed) {
   exp::dumbbell_config cfg;
-  cfg.sched = g_sched;
+  cfg.world() = world;
   cfg.bottleneck_bps = 250e3 * sessions;
   cfg.seed = seed;
   exp::testbed d(exp::dumbbell(cfg));
@@ -81,9 +76,9 @@ int main(int argc, char** argv) {
   flags.add("max_sessions", "18", "largest session count");
   flags.add("seed", "11", "simulation seed");
   exp::add_sweep_flags(flags);
-  exp::add_sched_flag(flags);
+  exp::add_world_flags(flags);
   if (!flags.parse(argc, argv)) return 1;
-  g_sched = exp::sched_config_from_flags(flags);
+  const exp::world_options world = exp::world_options_from_flags(flags);
 
   const double duration = flags.f64("duration");
   const auto opts = exp::sweep_options_from_flags(
@@ -101,8 +96,10 @@ int main(int argc, char** argv) {
         std::uint64_t sm = pt.seed;
         const std::uint64_t dl_seed = crypto::splitmix64(sm);
         const std::uint64_t ds_seed = crypto::splitmix64(sm);
-        const run_result dl = run(exp::flid_mode::dl, n, duration, dl_seed);
-        const run_result ds = run(exp::flid_mode::ds, n, duration, ds_seed);
+        const run_result dl =
+            run(world, exp::flid_mode::dl, n, duration, dl_seed);
+        const run_result ds =
+            run(world, exp::flid_mode::ds, n, duration, ds_seed);
         exp::sweep_row row;
         row.value("dl_avg", dl.average_kbps);
         row.value("ds_avg", ds.average_kbps);

@@ -23,11 +23,6 @@
 using namespace mcc;
 
 namespace {
-// --sched: every simulated world this bench builds runs the chosen policy.
-sim::scheduler_config g_sched;
-}  // namespace
-
-namespace {
 
 struct run_result {
   double avg_kbps = 0.0;
@@ -36,11 +31,11 @@ struct run_result {
   exp::series queue_trace;  // (seconds, queued bytes), 1 Hz
 };
 
-run_result run(exp::flid_mode mode, int sessions, double duration_s,
-               std::uint64_t seed, const sim::aqm_config& aqm,
-               bool want_trace) {
+run_result run(const exp::world_options& world, exp::flid_mode mode,
+               int sessions, double duration_s, std::uint64_t seed,
+               const sim::aqm_config& aqm, bool want_trace) {
   exp::dumbbell_config cfg;
-  cfg.sched = g_sched;
+  cfg.world() = world;
   cfg.bottleneck_bps = 250e3 * (2 * sessions);
   cfg.seed = seed;
   cfg.aqm = aqm;
@@ -89,9 +84,9 @@ int main(int argc, char** argv) {
   flags.add("repeats", "3", "seeds averaged per data point");
   exp::add_aqm_flags(flags);
   exp::add_sweep_flags(flags);
-  exp::add_sched_flag(flags);
+  exp::add_world_flags(flags);
   if (!flags.parse(argc, argv)) return 1;
-  g_sched = exp::sched_config_from_flags(flags);
+  const exp::world_options world = exp::world_options_from_flags(flags);
 
   const double duration = flags.f64("duration");
   const int repeats = static_cast<int>(flags.i64("repeats"));
@@ -121,10 +116,10 @@ int main(int argc, char** argv) {
         run_result ds_probe;  // stats/trace from the first DS repeat
         std::uint64_t sm = pt.seed;  // per-repeat sub-streams of this point
         for (int rep = 0; rep < repeats; ++rep) {
-          dl += run(exp::flid_mode::dl, n, duration, crypto::splitmix64(sm),
-                    aqm, false)
+          dl += run(world, exp::flid_mode::dl, n, duration,
+                    crypto::splitmix64(sm), aqm, false)
                     .avg_kbps;
-          run_result ds_run = run(exp::flid_mode::ds, n, duration,
+          run_result ds_run = run(world, exp::flid_mode::ds, n, duration,
                                   crypto::splitmix64(sm), aqm, rep == 0);
           if (rep == 0) ds_probe = ds_run;
           ds += ds_run.avg_kbps;

@@ -18,15 +18,11 @@
 using namespace mcc;
 
 namespace {
-// --sched: every simulated world this bench builds runs the chosen policy.
-sim::scheduler_config g_sched;
-}  // namespace
 
-namespace {
-
-exp::series run(exp::flid_mode mode, double duration_s, std::uint64_t seed) {
+exp::series run(const exp::world_options& world, exp::flid_mode mode,
+                double duration_s, std::uint64_t seed) {
   exp::dumbbell_config cfg;
-  cfg.sched = g_sched;
+  cfg.world() = world;
   cfg.bottleneck_bps = 1.25e6;
   cfg.seed = seed;
   exp::testbed d(exp::dumbbell(cfg));
@@ -58,9 +54,9 @@ int main(int argc, char** argv) {
   flags.add("duration", "100", "experiment length, seconds");
   flags.add("seed", "17", "simulation seed");
   exp::add_sweep_flags(flags);
-  exp::add_sched_flag(flags);
+  exp::add_world_flags(flags);
   if (!flags.parse(argc, argv)) return 1;
-  g_sched = exp::sched_config_from_flags(flags);
+  const exp::world_options world = exp::world_options_from_flags(flags);
 
   const double duration = flags.f64("duration");
   const auto opts = exp::sweep_options_from_flags(
@@ -71,7 +67,7 @@ int main(int argc, char** argv) {
       {0.0, 1.0}, opts, [&](const exp::sweep_point& pt) {
         const auto mode =
             pt.index == 0 ? exp::flid_mode::dl : exp::flid_mode::ds;
-        exp::series s = run(mode, duration, pt.seed);
+        exp::series s = run(world, mode, duration, pt.seed);
         exp::sweep_row row;
         row.label = pt.index == 0 ? "FLID-DL" : "FLID-DS";
         row.value("before", window_avg(s, 35.0, 44.0));

@@ -16,15 +16,11 @@
 using namespace mcc;
 
 namespace {
-// --sched: every simulated world this bench builds runs the chosen policy.
-sim::scheduler_config g_sched;
-}  // namespace
 
-namespace {
-
-exp::series run(exp::flid_mode mode, double duration_s, std::uint64_t seed) {
+exp::series run(const exp::world_options& world, exp::flid_mode mode,
+                double duration_s, std::uint64_t seed) {
   exp::dumbbell_config cfg;
-  cfg.sched = g_sched;
+  cfg.world() = world;
   cfg.bottleneck_bps = 250e3;
   cfg.bottleneck_delay = sim::milliseconds(5);
   cfg.seed = seed;
@@ -62,9 +58,9 @@ int main(int argc, char** argv) {
   flags.add("duration", "200", "experiment length, seconds");
   flags.add("seed", "19", "simulation seed");
   exp::add_sweep_flags(flags);
-  exp::add_sched_flag(flags);
+  exp::add_world_flags(flags);
   if (!flags.parse(argc, argv)) return 1;
-  g_sched = exp::sched_config_from_flags(flags);
+  const exp::world_options world = exp::world_options_from_flags(flags);
 
   const double duration = flags.f64("duration");
   const auto opts = exp::sweep_options_from_flags(
@@ -75,7 +71,7 @@ int main(int argc, char** argv) {
       {0.0, 1.0}, opts, [&](const exp::sweep_point& pt) {
         const auto mode =
             pt.index == 0 ? exp::flid_mode::dl : exp::flid_mode::ds;
-        exp::series s = run(mode, duration, pt.seed);
+        exp::series s = run(world, mode, duration, pt.seed);
         double mean = 0.0;
         for (const auto& [rtt, v] : s) mean += v;
         mean /= static_cast<double>(s.size());

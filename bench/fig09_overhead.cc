@@ -23,11 +23,6 @@
 using namespace mcc;
 
 namespace {
-// --sched: every simulated world this bench builds runs the chosen policy.
-sim::scheduler_config g_sched;
-}  // namespace
-
-namespace {
 
 struct point_result {
   double analytic_delta;
@@ -36,10 +31,10 @@ struct point_result {
   double measured_sigma;
 };
 
-point_result run(int num_groups, double slot_seconds, double duration_s,
-                 std::uint64_t seed) {
+point_result run(const exp::world_options& world, int num_groups,
+                 double slot_seconds, double duration_s, std::uint64_t seed) {
   exp::dumbbell_config cfg;
-  cfg.sched = g_sched;
+  cfg.world() = world;
   cfg.bottleneck_bps = 10e6;  // uncongested: overhead is a sender property
   cfg.seed = seed;
   exp::testbed d(exp::dumbbell(cfg));
@@ -106,9 +101,9 @@ int main(int argc, char** argv) {
   flags.add("duration", "30", "seconds simulated per point");
   flags.add("seed", "29", "simulation seed");
   exp::add_sweep_flags(flags);
-  exp::add_sched_flag(flags);
+  exp::add_world_flags(flags);
   if (!flags.parse(argc, argv)) return 1;
-  g_sched = exp::sched_config_from_flags(flags);
+  const exp::world_options world = exp::world_options_from_flags(flags);
   const double duration = flags.f64("duration");
   const auto opts = exp::sweep_options_from_flags(
       flags, static_cast<std::uint64_t>(flags.i64("seed")));
@@ -128,7 +123,7 @@ int main(int argc, char** argv) {
         const bool panel_a = pt.index < panel_a_points;
         const int n = panel_a ? static_cast<int>(pt.x) : 10;
         const double slot_s = panel_a ? 0.25 : pt.x;
-        const point_result r = run(n, slot_s, duration, pt.seed);
+        const point_result r = run(world, n, slot_s, duration, pt.seed);
         exp::sweep_row row;
         row.label = panel_a ? "a" : "b";
         row.value("analytic_delta", r.analytic_delta);

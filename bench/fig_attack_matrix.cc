@@ -51,11 +51,6 @@
 using namespace mcc;
 
 namespace {
-// --sched: every simulated world this bench builds runs the chosen policy.
-sim::scheduler_config g_sched;
-}  // namespace
-
-namespace {
 
 /// Every topology's contested links run at this rate; the containment
 /// bound's fair-share floor is derived from it below.
@@ -81,37 +76,26 @@ struct cell {
   std::size_t seed_index = 0;
 };
 
-exp::testbed_config make_config(const std::string& topo, std::uint64_t seed,
+exp::testbed_config make_config(const std::string& topo,
+                                const exp::world_options& world,
                                 sim::qdisc queue, const sim::aqm_config& aqm_in,
-                                bool keying, int memory, bool cm,
-                                const cm::cm_config& cm_params,
                                 site_plan& sites) {
   sim::aqm_config aqm = aqm_in;
   aqm.discipline = queue;
   if (topo == "dumbbell") {
     exp::dumbbell_config cfg;
-    cfg.sched = g_sched;
+    cfg.world() = world;
     cfg.bottleneck_bps = path_bps;
-    cfg.seed = seed;
     cfg.aqm = aqm;
-    cfg.interface_keying = keying;
-    cfg.probation_memory_slots = memory;
-    cfg.cm = cm;
-    cfg.cm_params = cm_params;
     sites = {"r", "r", "r"};
     return exp::dumbbell(cfg);
   }
   if (topo == "parking_lot") {
     exp::parking_lot_config cfg;
-    cfg.sched = g_sched;
+    cfg.world() = world;
     cfg.bottlenecks = 2;
     cfg.bottleneck_bps = path_bps;
-    cfg.seed = seed;
     cfg.aqm = aqm;
-    cfg.interface_keying = keying;
-    cfg.probation_memory_slots = memory;
-    cfg.cm = cm;
-    cfg.cm_params = cm_params;
     // The attacker sits behind both bottlenecks; its colluding partner
     // behind only the first, so the partner's cleaner congestion state
     // feeds the key pool.
@@ -120,16 +104,11 @@ exp::testbed_config make_config(const std::string& topo, std::uint64_t seed,
   }
   if (topo == "tree") {
     exp::tree_config cfg;
-    cfg.sched = g_sched;
+    cfg.world() = world;
     cfg.depth = 2;
     cfg.fanout = 2;
     cfg.edge_bps = path_bps;
-    cfg.seed = seed;
     cfg.aqm = aqm;
-    cfg.interface_keying = keying;
-    cfg.probation_memory_slots = memory;
-    cfg.cm = cm;
-    cfg.cm_params = cm_params;
     // Attacker on a sibling leaf of the honest receiver: they share the
     // root->t1_0 edge (the contested link) and split below it. The second
     // colluder sits in the other subtree, where its cleaner congestion
@@ -164,17 +143,16 @@ int main(int argc, char** argv) {
   flags.add("pulse-off", "5", "pulse_inflate: recovery phase, seconds");
   flags.add("flap-period", "1", "churn_flap: slots per phase");
   flags.add("seed", "7", "simulation seed");
-  exp::add_interface_keying_flag(flags, "both");
-  exp::add_probation_memory_flag(flags, "both");
-  // Default off: the matrix is a single-receiver-per-edge study outside the
-  // dumbbell, where the manager is provably inert; --cm=both adds the
-  // shared-manager twin of every cell for the never-worsens-ttc pin.
-  exp::add_cm_flags(flags, "off");
   exp::add_aqm_flags(flags);
   exp::add_sweep_flags(flags);
-  exp::add_sched_flag(flags);
+  // --cm defaults off: the matrix is a single-receiver-per-edge study
+  // outside the dumbbell, where the manager is provably inert; --cm=both
+  // adds the shared-manager twin of every cell for the never-worsens-ttc pin.
+  exp::add_world_flags(flags, {.interface_keying = "both",
+                               .probation_memory = "both",
+                               .cm = "off"});
   if (!flags.parse(argc, argv)) return 1;
-  g_sched = exp::sched_config_from_flags(flags);
+  const exp::world_options world = exp::world_options_from_flags(flags);
 
   const double duration = flags.f64("duration");
   const double attack_at_s = flags.f64("attack-at");
@@ -250,7 +228,6 @@ int main(int argc, char** argv) {
     memories = {0};
   }
   const std::vector<bool> cms = exp::cm_axis_from_flags(flags);
-  const cm::cm_config cm_params = exp::cm_config_from_flags(flags);
 
   std::vector<cell> cells;
   std::size_t seed_index = 0;
@@ -258,8 +235,7 @@ int main(int argc, char** argv) {
     for (const std::string& t : topos) {
       // Validate topology names up front (before worker threads).
       site_plan probe;
-      (void)make_config(t, 1, sim::qdisc::droptail, aqm_base, false, 0, false,
-                        cm_params, probe);
+      (void)make_config(t, world, sim::qdisc::droptail, aqm_base, probe);
       for (const sim::qdisc q : qdiscs) {
         for (const bool k : keyings) {
           for (const int m : memories) {
@@ -287,10 +263,13 @@ int main(int argc, char** argv) {
 
   const auto rows = exp::run_sweep(xs, opts, [&](const exp::sweep_point& pt) {
     const cell& c = cells[pt.index];
+    exp::world_options w = world;
+    w.seed = exp::point_seed(opts.base_seed, c.seed_index);
+    w.interface_keying = c.keying;
+    w.probation_memory_slots = c.memory;
+    w.cm = c.cm;
     site_plan sites;
-    exp::testbed d(make_config(c.topo, exp::point_seed(opts.base_seed, c.seed_index),
-                               c.queue, aqm_base, c.keying, c.memory, c.cm,
-                               cm_params, sites));
+    exp::testbed d(make_config(c.topo, w, c.queue, aqm_base, sites));
 
     adversary::profile attack;
     switch (c.strategy) {

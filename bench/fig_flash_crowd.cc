@@ -53,11 +53,6 @@
 using namespace mcc;
 
 namespace {
-// --sched: every simulated world this bench builds runs the chosen policy.
-sim::scheduler_config g_sched;
-}  // namespace
-
-namespace {
 
 /// Every topology's contested links run at this rate; the containment
 /// bound's fair-share floor is derived from it below.
@@ -76,51 +71,44 @@ struct cell {
   int memory = 0;      // probation-memory window, slots (0 = off)
 };
 
-exp::testbed_config make_config(const std::string& topo, std::uint64_t seed,
+exp::testbed_config make_config(const std::string& topo,
+                                const exp::world_options& world,
                                 sim::qdisc queue, const sim::aqm_config& aqm_in,
-                                int memory, site_plan& sites) {
+                                site_plan& sites) {
   sim::aqm_config aqm = aqm_in;
   aqm.discipline = queue;
   if (topo == "dumbbell") {
     exp::dumbbell_config cfg;
-    cfg.sched = g_sched;
+    cfg.world() = world;
     cfg.bottleneck_bps = path_bps;
-    cfg.seed = seed;
     cfg.aqm = aqm;
-    cfg.probation_memory_slots = memory;
     sites = {"r", "r"};
     return exp::dumbbell(cfg);
   }
   if (topo == "parking_lot") {
     exp::parking_lot_config cfg;
-    cfg.sched = g_sched;
+    cfg.world() = world;
     cfg.bottlenecks = 2;
     cfg.bottleneck_bps = path_bps;
-    cfg.seed = seed;
     cfg.aqm = aqm;
-    cfg.probation_memory_slots = memory;
     sites = {"r2", "r2"};
     return exp::parking_lot(cfg);
   }
   if (topo == "star") {
     exp::star_config cfg;
-    cfg.sched = g_sched;
+    cfg.world() = world;
     cfg.spoke_bps = path_bps;
-    cfg.seed = seed;
     cfg.aqm = aqm;
-    cfg.probation_memory_slots = memory;
     sites = {"s1", "s1"};
     return exp::star(cfg);
   }
   if (topo == "tree") {
     exp::tree_config cfg;
-    cfg.sched = g_sched;
+    cfg.world() = world;
     cfg.depth = 2;
     cfg.fanout = 2;
     cfg.edge_bps = path_bps;
-    cfg.seed = seed;
     cfg.aqm = aqm;
-    cfg.probation_memory_slots = memory;
     // The adversary hides on a sibling leaf: it shares the contested
     // root->t1_0 edge with the population and splits below it.
     sites = {"t2_0", "t2_1"};
@@ -156,12 +144,11 @@ int main(int argc, char** argv) {
             "key mode for inflate_once/pulse_inflate: best_effort|replay|guess");
   flags.add("seed", "11", "simulation seed");
   exp::add_population_flags(flags, "1000,1000000");
-  exp::add_probation_memory_flag(flags, "off");
   exp::add_aqm_flags(flags);
   exp::add_sweep_flags(flags);
-  exp::add_sched_flag(flags);
+  exp::add_world_flags(flags, {.probation_memory = "off"});
   if (!flags.parse(argc, argv)) return 1;
-  g_sched = exp::sched_config_from_flags(flags);
+  const exp::world_options world = exp::world_options_from_flags(flags);
 
   const double duration = flags.f64("duration");
   const double attack_at_s = flags.f64("attack-at");
@@ -235,7 +222,7 @@ int main(int argc, char** argv) {
     for (const std::string& t : topos) {
       // Validate topology names up front (before worker threads).
       site_plan probe;
-      (void)make_config(t, 1, sim::qdisc::droptail, aqm_base, 0, probe);
+      (void)make_config(t, world, sim::qdisc::droptail, aqm_base, probe);
       for (const sim::qdisc q : qdiscs) {
         for (const std::string& a : attacks) {
           for (const int m : memories) cells.push_back({n, t, q, a, m});
@@ -263,9 +250,11 @@ int main(int argc, char** argv) {
     // and agents latch the per-point trace buffer at construction.
     obs::trace_buffer tb;
     obs::trace_scope scope(tracing ? &tb : nullptr);
+    exp::world_options w = world;
+    w.seed = pt.seed;
+    w.probation_memory_slots = c.memory;
     site_plan sites;
-    exp::testbed d(
-        make_config(c.topo, pt.seed, c.queue, aqm_base, c.memory, sites));
+    exp::testbed d(make_config(c.topo, w, c.queue, aqm_base, sites));
 
     // One session: the aggregated honest audience plus, in attack cells, one
     // individually simulated adversary hiding at the same contested path.

@@ -32,16 +32,12 @@
 using namespace mcc;
 
 namespace {
-// --sched: every simulated world this bench builds runs the chosen policy.
-sim::scheduler_config g_sched;
-}  // namespace
 
-namespace {
-
-exp::sweep_row run(exp::flid_mode mode, double duration_s, double inflate_at_s,
-                   std::uint64_t seed, const sim::aqm_config& aqm) {
+exp::sweep_row run(const exp::world_options& world, exp::flid_mode mode,
+                   double duration_s, double inflate_at_s, std::uint64_t seed,
+                   const sim::aqm_config& aqm) {
   exp::parking_lot_config cfg;
-  cfg.sched = g_sched;
+  cfg.world() = world;
   cfg.bottlenecks = 2;
   cfg.bottleneck_bps = 1e6;
   cfg.seed = seed;
@@ -131,9 +127,9 @@ int main(int argc, char** argv) {
   flags.add("seed", "47", "simulation seed");
   exp::add_aqm_flags(flags);
   exp::add_sweep_flags(flags);
-  exp::add_sched_flag(flags);
+  exp::add_world_flags(flags);
   if (!flags.parse(argc, argv)) return 1;
-  g_sched = exp::sched_config_from_flags(flags);
+  const exp::world_options world = exp::world_options_from_flags(flags);
 
   const double duration = flags.f64("duration");
   const double inflate_at = flags.f64("inflate_at");
@@ -152,7 +148,8 @@ int main(int argc, char** argv) {
             pt.index % 2 == 0 ? exp::flid_mode::dl : exp::flid_mode::ds;
         sim::aqm_config aqm = base_aqm;
         aqm.discipline = qdiscs[pt.index / 2];
-        exp::sweep_row row = run(mode, duration, inflate_at, pt.seed, aqm);
+        exp::sweep_row row =
+            run(world, mode, duration, inflate_at, pt.seed, aqm);
         row.label = std::string(pt.index % 2 == 0 ? "FLID-DL/" : "FLID-DS/") +
                     sim::qdisc_name(aqm.discipline);
         return row;

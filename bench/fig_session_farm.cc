@@ -42,8 +42,6 @@
 using namespace mcc;
 
 namespace {
-// --sched: every simulated world this bench builds runs the chosen policy.
-sim::scheduler_config g_sched;
 
 struct site_plan {
   std::string shared;  // the contested edge every session's receiver sits at
@@ -78,33 +76,26 @@ std::uint64_t cell_seed(std::uint64_t base, const cell& c) {
   return h;
 }
 
-exp::testbed_config make_config(const std::string& topo, std::uint64_t seed,
+exp::testbed_config make_config(const std::string& topo,
+                                const exp::world_options& world,
                                 sim::qdisc queue, const sim::aqm_config& aqm_in,
-                                double path_bps, bool cm,
-                                const cm::cm_config& cm_params,
-                                site_plan& sites) {
+                                double path_bps, site_plan& sites) {
   sim::aqm_config aqm = aqm_in;
   aqm.discipline = queue;
   if (topo == "dumbbell") {
     exp::dumbbell_config cfg;
-    cfg.sched = g_sched;
+    cfg.world() = world;
     cfg.bottleneck_bps = path_bps;
-    cfg.seed = seed;
     cfg.aqm = aqm;
-    cfg.cm = cm;
-    cfg.cm_params = cm_params;
     sites = {"r"};
     return exp::dumbbell(cfg);
   }
   if (topo == "parking_lot") {
     exp::parking_lot_config cfg;
-    cfg.sched = g_sched;
+    cfg.world() = world;
     cfg.bottlenecks = 2;
     cfg.bottleneck_bps = path_bps;
-    cfg.seed = seed;
     cfg.aqm = aqm;
-    cfg.cm = cm;
-    cfg.cm_params = cm_params;
     sites = {"r2"};
     return exp::parking_lot(cfg);
   }
@@ -140,12 +131,11 @@ int main(int argc, char** argv) {
             "the collateral-damage CHECK applies at this many sessions or "
             "more");
   flags.add("seed", "21", "simulation seed");
-  exp::add_cm_flags(flags, "both");
   exp::add_aqm_flags(flags);
   exp::add_sweep_flags(flags);
-  exp::add_sched_flag(flags);
+  exp::add_world_flags(flags, {.cm = "both"});
   if (!flags.parse(argc, argv)) return 1;
-  g_sched = exp::sched_config_from_flags(flags);
+  const exp::world_options world = exp::world_options_from_flags(flags);
 
   const double duration = flags.f64("duration");
   const double attack_at_s = flags.f64("attack-at");
@@ -219,15 +209,13 @@ int main(int argc, char** argv) {
   const std::vector<sim::qdisc> qdiscs = exp::qdisc_list_from_flags(flags);
   const sim::aqm_config aqm_base = exp::aqm_config_from_flags(flags);
   std::vector<bool> cms = exp::cm_axis_from_flags(flags);
-  const cm::cm_config cm_params = exp::cm_config_from_flags(flags);
 
   std::vector<cell> cells;
   for (const int n : session_counts) {
     for (const std::string& t : topos) {
       // Validate topology names up front (before worker threads).
       site_plan probe;
-      (void)make_config(t, 1, sim::qdisc::droptail, aqm_base, 1e6, false,
-                        cm_params, probe);
+      (void)make_config(t, world, sim::qdisc::droptail, aqm_base, 1e6, probe);
       for (const sim::qdisc q : qdiscs) {
         for (const std::string& a : attacks) {
           for (const bool c : cms) cells.push_back({n, t, q, a, c});
@@ -259,8 +247,10 @@ int main(int argc, char** argv) {
     // per-session budget.
     const double path_bps =
         per_session_kbps * 1e3 * static_cast<double>(c.sessions);
-    exp::testbed d(make_config(c.topo, cell_seed(base_seed, c), c.queue,
-                               aqm_base, path_bps, c.cm, cm_params, sites));
+    exp::world_options w = world;
+    w.seed = cell_seed(base_seed, c);
+    w.cm = c.cm;
+    exp::testbed d(make_config(c.topo, w, c.queue, aqm_base, path_bps, sites));
 
     // Session 0 carries the farm's one misbehaving receiver; every other
     // session is an honest neighbour at the same contested edge.

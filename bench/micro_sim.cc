@@ -196,8 +196,7 @@ static void bm_attack_scenario(benchmark::State& state) {
     cfg.bottleneck_bps = 1e6;
     exp::testbed d(exp::dumbbell(cfg));
     exp::receiver_options attacker;
-    attacker.inflate = true;
-    attacker.inflate_at = sim::seconds(10.0);
+    attacker.attack = adversary::inflate_once(sim::seconds(10.0));
     d.add_flid_session(exp::flid_mode::ds, {attacker});
     d.add_flid_session(exp::flid_mode::ds, {exp::receiver_options{}});
     d.add_tcp_flow();

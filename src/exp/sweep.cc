@@ -2,27 +2,16 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <fstream>
 #include <limits>
 #include <mutex>
 #include <ostream>
-#include <stdexcept>
 #include <thread>
-
-#ifdef __unix__
-#include <sys/wait.h>
-#include <unistd.h>
-#endif
-#ifdef __linux__
-#include <sched.h>
-#endif
 
 #include "crypto/prng.h"
 #include "util/logging.h"
@@ -41,9 +30,6 @@ std::uint64_t point_seed(std::uint64_t base_seed, std::size_t index) {
 
 void add_sweep_flags(util::flag_set& flags) {
   flags.add("jobs", "1", "worker threads for the parameter grid");
-  flags.add("jobs-per-process", "0",
-            "fork worker processes with this many threads each (0 = run all "
-            "jobs in-process)");
   flags.add("json", "", "also write machine-readable results to this file");
   flags.add("trace", "",
             "write the deterministic event trace to this file (convert with "
@@ -75,7 +61,6 @@ sweep_options sweep_options_from_flags(const util::flag_set& flags,
   }
   sweep_options opts;
   opts.jobs = static_cast<int>(flags.i64("jobs"));
-  opts.jobs_per_process = static_cast<int>(flags.i64("jobs-per-process"));
   opts.base_seed = base_seed;
   return opts;
 }
@@ -175,349 +160,6 @@ void run_points(const std::vector<double>& xs, const sweep_options& opts,
   if (first_error) std::rethrow_exception(first_error);
 }
 
-#ifdef __unix__
-
-// --- forked worker transport ------------------------------------------------
-//
-// Each forked worker streams its shard's rows back over a pipe as binary
-// frames. Doubles cross the pipe as their raw IEEE-754 bytes (memcpy, never
-// text), so the parent reassembles rows bit-identical to an in-process run.
-// A shard ends with an explicit done frame; EOF without one means the worker
-// died and the whole sweep fails loudly rather than returning a partial grid.
-
-enum : unsigned char { kFrameRow = 1, kFrameDone = 2, kFrameError = 3 };
-
-void encode_u64(std::vector<unsigned char>& buf, std::uint64_t v) {
-  unsigned char raw[8];
-  std::memcpy(raw, &v, sizeof raw);
-  buf.insert(buf.end(), raw, raw + sizeof raw);
-}
-
-void encode_f64(std::vector<unsigned char>& buf, double v) {
-  unsigned char raw[8];
-  std::memcpy(raw, &v, sizeof raw);
-  buf.insert(buf.end(), raw, raw + sizeof raw);
-}
-
-void encode_str(std::vector<unsigned char>& buf, const std::string& s) {
-  encode_u64(buf, s.size());
-  buf.insert(buf.end(), s.begin(), s.end());
-}
-
-void encode_row(std::vector<unsigned char>& buf, std::size_t index,
-                const sweep_row& row) {
-  buf.push_back(kFrameRow);
-  encode_u64(buf, index);
-  encode_f64(buf, row.x);
-  encode_str(buf, row.label);
-  encode_u64(buf, row.values.size());
-  for (const auto& [name, v] : row.values) {
-    encode_str(buf, name);
-    encode_f64(buf, v);
-  }
-  encode_u64(buf, row.traces.size());
-  for (const auto& [name, s] : row.traces) {
-    encode_str(buf, name);
-    encode_u64(buf, s.size());
-    for (const auto& [t, v] : s) {
-      encode_f64(buf, t);
-      encode_f64(buf, v);
-    }
-  }
-  encode_u64(buf, row.metrics.size());
-  for (const auto& [name, v] : row.metrics) {
-    encode_str(buf, name);
-    encode_f64(buf, v);
-  }
-  encode_str(buf, row.trace_blob);
-}
-
-void write_all(int fd, const unsigned char* data, std::size_t n) {
-  while (n > 0) {
-    const ssize_t w = ::write(fd, data, n);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      std::_Exit(3);  // parent gone; nothing sane left to do in a worker
-    }
-    data += w;
-    n -= static_cast<std::size_t>(w);
-  }
-}
-
-/// Reads exactly n bytes; false on EOF before the first byte, throws if the
-/// stream ends mid-read (a worker died mid-frame).
-bool read_exact(int fd, void* out, std::size_t n) {
-  unsigned char* p = static_cast<unsigned char*>(out);
-  std::size_t got = 0;
-  while (got < n) {
-    const ssize_t r = ::read(fd, p + got, n - got);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error("sweep: worker pipe read failed");
-    }
-    if (r == 0) {
-      if (got == 0) return false;
-      throw std::runtime_error("sweep: worker died mid-frame");
-    }
-    got += static_cast<std::size_t>(r);
-  }
-  return true;
-}
-
-std::uint64_t read_u64(int fd) {
-  std::uint64_t v = 0;
-  if (!read_exact(fd, &v, sizeof v)) {
-    throw std::runtime_error("sweep: worker died mid-frame");
-  }
-  return v;
-}
-
-double read_f64(int fd) {
-  double v = 0;
-  if (!read_exact(fd, &v, sizeof v)) {
-    throw std::runtime_error("sweep: worker died mid-frame");
-  }
-  return v;
-}
-
-std::string read_str(int fd) {
-  const std::uint64_t n = read_u64(fd);
-  std::string s(n, '\0');
-  if (n > 0 && !read_exact(fd, s.data(), n)) {
-    throw std::runtime_error("sweep: worker died mid-frame");
-  }
-  return s;
-}
-
-/// Worker-process body: pin to a CPU stripe, run this worker's interleaved
-/// shard on `threads` threads, stream rows + a done frame (or an error frame)
-/// back, and _Exit without running parent-inherited destructors.
-[[noreturn]] void worker_main(int worker, int workers, int threads, int fd,
-                              const std::vector<double>& xs,
-                              const sweep_options& opts,
-                              const std::function<sweep_row(const sweep_point&)>& fn) {
-#ifdef __linux__
-  // Pin each worker's threads to their own CPU stripe so slab pools stay
-  // local; best-effort — a constrained cpuset just keeps the inherited mask.
-  const long ncpu = ::sysconf(_SC_NPROCESSORS_ONLN);
-  if (ncpu > 0) {
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    for (int t = 0; t < threads; ++t) {
-      CPU_SET(static_cast<std::size_t>((worker * threads + t) % ncpu), &set);
-    }
-    (void)::sched_setaffinity(0, sizeof set, &set);
-  }
-#endif
-  try {
-    std::vector<std::size_t> mine;
-    for (std::size_t i = static_cast<std::size_t>(worker); i < xs.size();
-         i += static_cast<std::size_t>(workers)) {
-      mine.push_back(i);
-    }
-    std::vector<sweep_row> rows(xs.size());
-    std::mutex pipe_mutex;
-    std::atomic<std::size_t> next{0};
-    std::atomic<bool> failed{false};
-    std::string first_error;
-    std::mutex error_mutex;
-    std::vector<unsigned char> frame;
-
-    auto body = [&] {
-      std::vector<unsigned char> buf;
-      for (;;) {
-        const std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
-        if (k >= mine.size() || failed.load(std::memory_order_relaxed)) return;
-        const std::size_t i = mine[k];
-        sweep_point pt;
-        pt.index = i;
-        pt.x = xs[i];
-        pt.seed = point_seed(opts.base_seed, i);
-        try {
-          sweep_row row = fn(pt);
-          if (std::isnan(row.x)) row.x = pt.x;
-          buf.clear();
-          encode_row(buf, i, row);
-          const std::lock_guard<std::mutex> lock(pipe_mutex);
-          write_all(fd, buf.data(), buf.size());
-        } catch (const std::exception& e) {
-          const std::lock_guard<std::mutex> lock(error_mutex);
-          if (first_error.empty()) first_error = e.what();
-          failed.store(true, std::memory_order_relaxed);
-        } catch (...) {
-          const std::lock_guard<std::mutex> lock(error_mutex);
-          if (first_error.empty()) first_error = "unknown point failure";
-          failed.store(true, std::memory_order_relaxed);
-        }
-      }
-    };
-
-    const int jobs = std::min<int>(
-        std::max(1, threads),
-        static_cast<int>(std::max<std::size_t>(mine.size(), 1)));
-    if (jobs <= 1) {
-      body();
-    } else {
-      std::vector<std::thread> pool;
-      pool.reserve(static_cast<std::size_t>(jobs));
-      for (int t = 0; t < jobs; ++t) pool.emplace_back(body);
-      for (auto& th : pool) th.join();
-    }
-
-    if (!first_error.empty()) {
-      frame.push_back(kFrameError);
-      encode_str(frame, first_error);
-      write_all(fd, frame.data(), frame.size());
-      std::_Exit(1);
-    }
-    frame.push_back(kFrameDone);
-    write_all(fd, frame.data(), frame.size());
-    std::_Exit(0);
-  } catch (...) {
-    std::vector<unsigned char> frame;
-    frame.push_back(kFrameError);
-    encode_str(frame, "worker setup failed");
-    write_all(fd, frame.data(), frame.size());
-    std::_Exit(1);
-  }
-}
-
-void run_sweep_forked(const std::vector<double>& xs, const sweep_options& opts,
-                      const std::function<sweep_row(const sweep_point&)>& fn,
-                      std::vector<sweep_row>& rows) {
-  const int threads = opts.jobs_per_process;
-  const int want = std::max(std::max(1, opts.jobs), threads);
-  int workers = (want + threads - 1) / threads;
-  workers = std::min<int>(workers, static_cast<int>(xs.size()));
-
-  struct worker_handle {
-    pid_t pid = -1;
-    int fd = -1;
-  };
-  std::vector<worker_handle> kids;
-  kids.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    int pipe_fd[2];
-    util::require(::pipe(pipe_fd) == 0, "sweep: pipe() failed");
-    const pid_t pid = ::fork();
-    util::require(pid >= 0, "sweep: fork() failed");
-    if (pid == 0) {
-      ::close(pipe_fd[0]);
-      for (const worker_handle& prior : kids) ::close(prior.fd);
-      worker_main(w, workers, threads, pipe_fd[1], xs, opts, fn);
-    }
-    ::close(pipe_fd[1]);
-    kids.push_back({pid, pipe_fd[0]});
-  }
-
-  // One reader per worker; each writes a disjoint set of rows[] slots, so the
-  // only shared state is the error string.
-  std::vector<char> got_done(static_cast<std::size_t>(workers), 0);
-  std::string point_error;
-  std::string transport_error;
-  std::mutex error_mutex;
-  auto reader = [&](int w) {
-    const int fd = kids[static_cast<std::size_t>(w)].fd;
-    try {
-      for (;;) {
-        unsigned char tag = 0;
-        if (!read_exact(fd, &tag, 1)) return;  // EOF, no done frame: crashed
-        if (tag == kFrameDone) {
-          got_done[static_cast<std::size_t>(w)] = 1;
-          return;
-        }
-        if (tag == kFrameError) {
-          const std::string msg = read_str(fd);
-          const std::lock_guard<std::mutex> lock(error_mutex);
-          if (point_error.empty()) point_error = msg;
-          return;
-        }
-        util::require(tag == kFrameRow, "sweep: bad frame from worker");
-        const std::uint64_t index = read_u64(fd);
-        util::require(index < rows.size(), "sweep: bad row index from worker");
-        sweep_row row;
-        row.x = read_f64(fd);
-        row.label = read_str(fd);
-        const std::uint64_t nvalues = read_u64(fd);
-        row.values.reserve(nvalues);
-        for (std::uint64_t v = 0; v < nvalues; ++v) {
-          std::string name = read_str(fd);
-          const double value = read_f64(fd);
-          row.values.emplace_back(std::move(name), value);
-        }
-        const std::uint64_t ntraces = read_u64(fd);
-        row.traces.reserve(ntraces);
-        for (std::uint64_t t = 0; t < ntraces; ++t) {
-          std::string name = read_str(fd);
-          series s;
-          const std::uint64_t npoints = read_u64(fd);
-          s.reserve(npoints);
-          for (std::uint64_t p = 0; p < npoints; ++p) {
-            const double time = read_f64(fd);
-            const double value = read_f64(fd);
-            s.emplace_back(time, value);
-          }
-          row.traces.emplace_back(std::move(name), std::move(s));
-        }
-        const std::uint64_t nmetrics = read_u64(fd);
-        row.metrics.reserve(nmetrics);
-        for (std::uint64_t m = 0; m < nmetrics; ++m) {
-          std::string name = read_str(fd);
-          const double value = read_f64(fd);
-          row.metrics.emplace_back(std::move(name), value);
-        }
-        row.trace_blob = read_str(fd);
-        rows[index] = std::move(row);
-      }
-    } catch (const std::exception& e) {
-      const std::lock_guard<std::mutex> lock(error_mutex);
-      if (transport_error.empty()) transport_error = e.what();
-    }
-  };
-
-  std::vector<std::thread> readers;
-  readers.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) readers.emplace_back(reader, w);
-  for (auto& th : readers) th.join();
-
-  // Reap every worker before deciding the run's fate, so a failure throw
-  // never leaks zombies.
-  std::vector<int> statuses(static_cast<std::size_t>(workers), 0);
-  for (int w = 0; w < workers; ++w) {
-    ::close(kids[static_cast<std::size_t>(w)].fd);
-    int status = 0;
-    while (::waitpid(kids[static_cast<std::size_t>(w)].pid, &status, 0) < 0 &&
-           errno == EINTR) {
-    }
-    statuses[static_cast<std::size_t>(w)] = status;
-  }
-
-  if (!point_error.empty()) {
-    throw std::runtime_error("sweep: point failed in worker process: " +
-                             point_error);
-  }
-  for (int w = 0; w < workers; ++w) {
-    if (got_done[static_cast<std::size_t>(w)]) continue;
-    const int status = statuses[static_cast<std::size_t>(w)];
-    std::string how = "exited without finishing its shard";
-    if (WIFSIGNALED(status)) {
-      how = "killed by signal " + std::to_string(WTERMSIG(status));
-    } else if (WIFEXITED(status)) {
-      how = "exited with status " + std::to_string(WEXITSTATUS(status));
-    }
-    throw std::runtime_error(
-        "sweep: worker process " + std::to_string(w) + " of " +
-        std::to_string(workers) + " died before completing its shard (" + how +
-        "); refusing to emit a truncated result" +
-        (transport_error.empty() ? "" : " [" + transport_error + "]"));
-  }
-  if (!transport_error.empty()) {
-    throw std::runtime_error("sweep: " + transport_error);
-  }
-}
-
-#endif  // __unix__
-
 }  // namespace
 
 std::vector<sweep_row> run_sweep(
@@ -526,18 +168,9 @@ std::vector<sweep_row> run_sweep(
     sweep_profile* profile) {
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<sweep_row> rows(xs.size());
-  if (opts.jobs_per_process > 0 && !xs.empty()) {
-#ifdef __unix__
-    run_sweep_forked(xs, opts, fn, rows);
-#else
-    throw std::runtime_error(
-        "sweep: --jobs-per-process requires fork(); run with --jobs instead");
-#endif
-  } else {
-    std::vector<std::size_t> all(xs.size());
-    for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-    run_points(xs, opts, fn, all, opts.jobs, rows, profile);
-  }
+  std::vector<std::size_t> all(xs.size());
+  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+  run_points(xs, opts, fn, all, opts.jobs, rows, profile);
   if (profile != nullptr) {
     const std::chrono::duration<double, std::milli> wall =
         std::chrono::steady_clock::now() - t0;

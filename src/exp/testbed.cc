@@ -14,17 +14,6 @@ std::int64_t queue_bytes(double bps, double bdp, sim::time_ns rtt) {
 }
 }  // namespace
 
-adversary::profile receiver_options::effective_profile() const {
-  if (attack.attacks()) {
-    util::require(!inflate,
-                  "receiver_options: set either .attack or the legacy "
-                  "inflate fields, not both");
-    return attack;
-  }
-  if (!inflate) return attack;
-  return adversary::inflate_once(inflate_at, attack_keys, inflate_level);
-}
-
 testbed::testbed(testbed_config cfg)
     : cfg_(std::move(cfg)),
       sched_(cfg_.sched),
@@ -214,10 +203,9 @@ flid_session& testbed::add_flid_session(
     const sim::node_id rh = attach_host(
         "mc_rcv_" + std::to_string(sid) + "_" + std::to_string(ridx++), site,
         cfg_.access_bps, opt.access_delay.value_or(cfg_.access_delay));
-    const adversary::profile prof = opt.effective_profile();
     auto receiver = std::make_unique<flid::flid_receiver>(
         net_, rh, topo_.node(site), cfg,
-        adversary::make_strategy(proto, prof, actx));
+        adversary::make_strategy(proto, opt.attack, actx));
     if (cm_ != nullptr) {
       // Register the session under the receiver's aggregated edge path and
       // wire the data plane before start() latches the receiver's state.
@@ -226,7 +214,7 @@ flid_session& testbed::add_flid_session(
       receiver->set_congestion_path(cm_.get(), path);
     }
     receiver->start(opt.start_time);
-    if (prof.attacks()) {
+    if (opt.attack.attacks()) {
       // Attacker-spend views (adversary::measure_cost reads the receiver's
       // live counters at snapshot time). Honest receivers register nothing:
       // their cost is all zeros and would only bloat the snapshots.
@@ -543,25 +531,14 @@ sim::link_config backbone_link(double bps, sim::time_ns delay,
 }
 
 /// Assembles a testbed_config from a topology, the attachment sites, and the
-/// shared attachment-default fields every scenario config carries.
-template <typename Cfg>
+/// scenario's world knobs.
 testbed_config scenario(sim::topology_builder topo, std::string sender_site,
-                        std::string receiver_site, const Cfg& cfg) {
+                        std::string receiver_site, const world_options& world) {
   testbed_config out;
+  out.world() = world;
   out.topology = std::move(topo);
   out.sender_site = std::move(sender_site);
   out.receiver_site = std::move(receiver_site);
-  out.access_bps = cfg.access_bps;
-  out.access_delay = cfg.access_delay;
-  out.buffer_bdp = cfg.buffer_bdp;
-  out.base_rtt = cfg.base_rtt;
-  out.access_aqm = cfg.access_aqm;
-  out.interface_keying = cfg.interface_keying;
-  out.probation_memory_slots = cfg.probation_memory_slots;
-  out.sched = cfg.sched;
-  out.cm = cfg.cm;
-  out.cm_params = cfg.cm_params;
-  out.seed = cfg.seed;
   return out;
 }
 
@@ -628,7 +605,7 @@ void add_aqm_flags(util::flag_set& flags) {
   flags.add_enum("qdisc", "droptail",
                  "queue discipline(s); comma lists sweep one grid axis per "
                  "entry",
-                 {"droptail", "ecn", "ecn_threshold", "red", "codel", "all"},
+                 {"droptail", "ecn", "red", "codel", "all"},
                  /*csv_list=*/true);
   flags.add("ecn-threshold", "0.5", "ecn: mark above this occupancy fraction");
   flags.add("red-min", "0.15", "red: min threshold, fraction of capacity");
@@ -703,25 +680,20 @@ sim::aqm_config aqm_config_from_flags(const util::flag_set& flags) {
   return cfg;
 }
 
-void add_cm_flags(util::flag_set& flags, const char* def) {
-  flags.add_enum("cm", def,
-                 "shared congestion manager across co-located sessions: both "
-                 "sweeps it as a grid axis",
-                 {"off", "on", "both"});
-  flags.add("cm-entries", "64", "cm: LRU state-cache capacity, entries");
-  flags.add("cm-aging", "8", "cm: staleness window, slots");
-  flags.add("cm-threshold", "0.25",
-            "cm: congestion EWMA level the cap binds above");
-  flags.add("cm-headroom", "1.3", "cm: fair-rate multiplier for the cap");
-}
+// ---------------------------------------------------------------------------
+// World flag glue
+// ---------------------------------------------------------------------------
 
-std::vector<bool> cm_axis_from_flags(const util::flag_set& flags) {
-  const std::string v = flags.str("cm");
+namespace {
+
+/// Decodes an off | on | both switch into its off-first axis.
+std::vector<bool> switch_axis(const util::flag_set& flags, const char* flag) {
+  const std::string v = flags.str(flag);
   if (v == "off") return {false};
   if (v == "on") return {true};
   if (v == "both") return {false, true};
   std::fprintf(stderr,
-               "bad value for --cm: '%s' (expected off, on, or both)\n",
+               "bad value for --%s: '%s' (expected off, on, or both)\n", flag,
                v.c_str());
   std::exit(1);
 }
@@ -770,56 +742,66 @@ cm::cm_config cm_config_from_flags(const util::flag_set& flags) {
   return cfg;
 }
 
-void add_sched_flag(util::flag_set& flags) {
+}  // namespace
+
+void add_world_flags(util::flag_set& flags,
+                     const world_flag_defaults& defaults) {
   flags.add_enum("sched", "heap",
                  "event-queue policy (identical results either way; wheel is "
                  "O(1) per op at large pending counts)",
                  {"heap", "wheel"});
-}
-
-sim::scheduler_config sched_config_from_flags(const util::flag_set& flags) {
-  const std::string name = flags.str("sched");
-  const auto policy = sim::sched_policy_from_name(name);
-  // add_enum validated the value at parse time; this only guards benches
-  // that set the flag programmatically.
-  if (!policy.has_value()) {
-    std::fprintf(stderr, "bad value for --sched: '%s' (expected heap or "
-                         "wheel)\n",
-                 name.c_str());
-    std::exit(1);
+  if (defaults.interface_keying != nullptr) {
+    flags.add_enum("interface-keying", defaults.interface_keying,
+                   "collusion countermeasure (section 4.2): both sweeps it "
+                   "as a grid axis",
+                   {"off", "on", "both"});
   }
-  sim::scheduler_config cfg;
-  cfg.policy = *policy;
-  return cfg;
+  if (defaults.probation_memory != nullptr) {
+    flags.add_enum("probation-memory", defaults.probation_memory,
+                   "router probation memory (adaptive_churn countermeasure): "
+                   "both sweeps it as a grid axis",
+                   {"off", "on", "both"});
+    flags.add("probation-memory-slots", "8",
+              "probation-memory window length in slots when on");
+  }
+  if (defaults.cm != nullptr) {
+    flags.add_enum("cm", defaults.cm,
+                   "shared congestion manager across co-located sessions: "
+                   "both sweeps it as a grid axis",
+                   {"off", "on", "both"});
+    flags.add("cm-entries", "64", "cm: LRU state-cache capacity, entries");
+    flags.add("cm-aging", "8", "cm: staleness window, slots");
+    flags.add("cm-threshold", "0.25",
+              "cm: congestion EWMA level the cap binds above");
+    flags.add("cm-headroom", "1.3", "cm: fair-rate multiplier for the cap");
+  }
 }
 
-void add_interface_keying_flag(util::flag_set& flags, const char* def) {
-  flags.add_enum("interface-keying", def,
-                 "collusion countermeasure (section 4.2): both sweeps it as "
-                 "a grid axis",
-                 {"off", "on", "both"});
+world_options world_options_from_flags(const util::flag_set& flags) {
+  world_options world;
+  // add_enum validated --sched at parse time, so the name is known good.
+  world.sched.policy = sim::sched_policy_from_name(flags.str("sched")).value();
+  if (flags.has("interface-keying")) {
+    world.interface_keying = interface_keying_axis_from_flags(flags).front();
+  }
+  if (flags.has("probation-memory")) {
+    world.probation_memory_slots =
+        probation_memory_axis_from_flags(flags).front();
+  }
+  if (flags.has("cm")) {
+    world.cm = cm_axis_from_flags(flags).front();
+    world.cm_params = cm_config_from_flags(flags);
+  }
+  return world;
 }
 
 std::vector<bool> interface_keying_axis_from_flags(
     const util::flag_set& flags) {
-  const std::string v = flags.str("interface-keying");
-  if (v == "off") return {false};
-  if (v == "on") return {true};
-  if (v == "both") return {false, true};
-  std::fprintf(stderr,
-               "bad value for --interface-keying: '%s' (expected off, on, or "
-               "both)\n",
-               v.c_str());
-  std::exit(1);
+  return switch_axis(flags, "interface-keying");
 }
 
-void add_probation_memory_flag(util::flag_set& flags, const char* def) {
-  flags.add_enum("probation-memory", def,
-                 "router probation memory (adaptive_churn countermeasure): "
-                 "both sweeps it as a grid axis",
-                 {"off", "on", "both"});
-  flags.add("probation-memory-slots", "8",
-            "probation-memory window length in slots when on");
+std::vector<bool> cm_axis_from_flags(const util::flag_set& flags) {
+  return switch_axis(flags, "cm");
 }
 
 std::vector<int> probation_memory_axis_from_flags(const util::flag_set& flags) {
@@ -831,16 +813,12 @@ std::vector<int> probation_memory_axis_from_flags(const util::flag_set& flags) {
                  static_cast<long long>(slots));
     std::exit(1);
   }
-  const std::string v = flags.str("probation-memory");
   const int on = static_cast<int>(slots);
-  if (v == "off") return {0};
-  if (v == "on") return {on};
-  if (v == "both") return {0, on};
-  std::fprintf(stderr,
-               "bad value for --probation-memory: '%s' (expected off, on, or "
-               "both)\n",
-               v.c_str());
-  std::exit(1);
+  std::vector<int> axis;
+  for (const bool b : switch_axis(flags, "probation-memory")) {
+    axis.push_back(b ? on : 0);
+  }
+  return axis;
 }
 
 // ---------------------------------------------------------------------------

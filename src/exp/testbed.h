@@ -55,19 +55,6 @@ struct receiver_options {
   /// The receiver's (mis)behaviour: any adversary strategy, or honest (the
   /// default). See adversary::profile and its factories.
   adversary::profile attack;
-  /// DEPRECATED back-compat shim for the pre-adversary API: `inflate` et al
-  /// describe exactly adversary::inflate_once(inflate_at, attack_keys,
-  /// inflate_level). Setting both `inflate` and a non-honest `attack` is
-  /// rejected loudly. New code should use `attack`.
-  bool inflate = false;
-  sim::time_ns inflate_at = 0;
-  int inflate_level = 0;  // <= 0: all groups (DL mode)
-  core::misbehaving_sigma_strategy::key_mode attack_keys =
-      core::misbehaving_sigma_strategy::key_mode::guess;
-
-  /// The profile this receiver runs: `attack`, unless the legacy shim
-  /// fields are set, which translate to an inflate_once profile.
-  [[nodiscard]] adversary::profile effective_profile() const;
 };
 
 /// Placement of an aggregated receiver population (population::edge_aggregate
@@ -95,17 +82,17 @@ struct flow_options {
   std::string dst_at;                // empty = default receiver site
 };
 
-/// Everything a testbed needs to know: the topology description plus the
-/// attachment defaults shared by all hosts.
-struct testbed_config {
-  sim::topology_builder topology;
-  /// Default attachment routers; empty = first / last declared router.
-  std::string sender_site;
-  std::string receiver_site;
+/// The per-world knobs: attachment defaults shared by all hosts, the
+/// countermeasure and engine switches, and the seed. testbed_config and every
+/// scenario config inherit them, so each knob is declared here once and a
+/// scenario factory carries the whole set into its testbed_config. Benches
+/// decode one from their flags with world_options_from_flags.
+struct world_options {
   double access_bps = 10e6;
   sim::time_ns access_delay = sim::milliseconds(10);
   /// Queue capacity of access links in bandwidth-delay products
-  /// (link rate x base_rtt).
+  /// (link rate x base_rtt); scenario factories size backbone queues the
+  /// same way.
   double buffer_bdp = 2.0;
   sim::time_ns base_rtt = sim::milliseconds(80);
   /// Queue discipline of access links (drop-tail by default — backbone AQM
@@ -137,7 +124,22 @@ struct testbed_config {
   bool cm = false;
   /// Parameters of the shared manager when `cm` is on.
   cm::cm_config cm_params;
+  /// Testbed seed; scenario factories also hand it to backbone AQM whose
+  /// aqm.seed is unset, so RED coin-flips follow the run's seed sweep.
   std::uint64_t seed = 1;
+
+  /// This object's world knobs, as an assignable base: `cfg.world() = w`
+  /// copies a bench-wide world_options into any scenario config.
+  [[nodiscard]] world_options& world() { return *this; }
+};
+
+/// Everything a testbed needs to know: the topology description and default
+/// attachment sites, plus the world knobs.
+struct testbed_config : world_options {
+  sim::topology_builder topology;
+  /// Default attachment routers; empty = first / last declared router.
+  std::string sender_site;
+  std::string receiver_site;
 };
 
 /// One aggregated population attached to a session: the aggregate (member
@@ -340,28 +342,12 @@ class testbed {
 /// The single-bottleneck topology of paper section 5.1. Defaults follow the
 /// paper: 1 Mbps / 20 ms bottleneck, 10 Mbps / 10 ms access links, queues of
 /// two bandwidth-delay products at an 80 ms base RTT.
-struct dumbbell_config {
+struct dumbbell_config : world_options {
   double bottleneck_bps = 1e6;
   sim::time_ns bottleneck_delay = sim::milliseconds(20);
-  double access_bps = 10e6;
-  sim::time_ns access_delay = sim::milliseconds(10);
-  double buffer_bdp = 2.0;
-  sim::time_ns base_rtt = sim::milliseconds(80);
-  std::uint64_t seed = 1;
   /// Bottleneck queue discipline. An unset aqm.seed inherits the scenario
   /// seed, so RED coin-flips follow the run's seed sweep.
   sim::aqm_config aqm;
-  /// Access-link queue discipline (default drop-tail).
-  sim::aqm_config access_aqm;
-  /// Interface keying (testbed_config::interface_keying).
-  bool interface_keying = false;
-  /// Router probation memory (testbed_config::probation_memory_slots).
-  int probation_memory_slots = 0;
-  /// Event-queue policy (testbed_config::sched).
-  sim::scheduler_config sched;
-  /// Shared congestion manager (testbed_config::cm / cm_params).
-  bool cm = false;
-  cm::cm_config cm_params;
 };
 
 /// Dumbbell testbed: senders attach at "l", receivers at "r".
@@ -370,44 +356,22 @@ struct dumbbell_config {
 /// k bottlenecks in series (routers "r0".."r<k>"); senders default to "r0",
 /// receivers to the far end "r<k>", so a default session crosses every
 /// bottleneck while cross traffic can load any single one.
-struct parking_lot_config {
+struct parking_lot_config : world_options {
   int bottlenecks = 2;
   double bottleneck_bps = 1e6;
   sim::time_ns bottleneck_delay = sim::milliseconds(20);
-  double access_bps = 10e6;
-  sim::time_ns access_delay = sim::milliseconds(10);
-  double buffer_bdp = 2.0;
-  sim::time_ns base_rtt = sim::milliseconds(80);
-  std::uint64_t seed = 1;
-  sim::aqm_config aqm;         // backbone queue discipline
-  sim::aqm_config access_aqm;  // access-link queue discipline (drop-tail)
-  bool interface_keying = false;  // testbed_config::interface_keying
-  int probation_memory_slots = 0;  // testbed_config::probation_memory_slots
-  sim::scheduler_config sched;    // testbed_config::sched
-  bool cm = false;                // testbed_config::cm
-  cm::cm_config cm_params;        // testbed_config::cm_params
+  sim::aqm_config aqm;  // backbone queue discipline
 };
 
 [[nodiscard]] testbed_config parking_lot(const parking_lot_config& cfg = {});
 
 /// Hub-and-spoke: senders default to the hub, receivers to spoke "s1";
 /// receivers placed on distinct spokes contend only on their own spoke link.
-struct star_config {
+struct star_config : world_options {
   int spokes = 4;
   double spoke_bps = 1e6;
   sim::time_ns spoke_delay = sim::milliseconds(20);
-  double access_bps = 10e6;
-  sim::time_ns access_delay = sim::milliseconds(10);
-  double buffer_bdp = 2.0;
-  sim::time_ns base_rtt = sim::milliseconds(80);
-  std::uint64_t seed = 1;
-  sim::aqm_config aqm;         // backbone queue discipline
-  sim::aqm_config access_aqm;  // access-link queue discipline (drop-tail)
-  bool interface_keying = false;  // testbed_config::interface_keying
-  int probation_memory_slots = 0;  // testbed_config::probation_memory_slots
-  sim::scheduler_config sched;    // testbed_config::sched
-  bool cm = false;                // testbed_config::cm
-  cm::cm_config cm_params;        // testbed_config::cm_params
+  sim::aqm_config aqm;  // backbone queue discipline
 };
 
 [[nodiscard]] testbed_config star(const star_config& cfg = {});
@@ -415,23 +379,12 @@ struct star_config {
 /// Balanced distribution tree: senders default to "root", receivers to the
 /// first leaf "t<depth>_0"; point-to-multipoint sessions fan out down the
 /// tree and each receiver sees only its own root-to-leaf path.
-struct tree_config {
+struct tree_config : world_options {
   int depth = 2;
   int fanout = 2;
   double edge_bps = 1e6;
   sim::time_ns edge_delay = sim::milliseconds(10);
-  double access_bps = 10e6;
-  sim::time_ns access_delay = sim::milliseconds(10);
-  double buffer_bdp = 2.0;
-  sim::time_ns base_rtt = sim::milliseconds(80);
-  std::uint64_t seed = 1;
-  sim::aqm_config aqm;         // backbone queue discipline
-  sim::aqm_config access_aqm;  // access-link queue discipline (drop-tail)
-  bool interface_keying = false;  // testbed_config::interface_keying
-  int probation_memory_slots = 0;  // testbed_config::probation_memory_slots
-  sim::scheduler_config sched;    // testbed_config::sched
-  bool cm = false;                // testbed_config::cm
-  cm::cm_config cm_params;        // testbed_config::cm_params
+  sim::aqm_config aqm;  // backbone queue discipline
 };
 
 [[nodiscard]] testbed_config balanced_tree(const tree_config& cfg = {});
@@ -479,67 +432,56 @@ void add_aqm_flags(util::flag_set& flags);
 [[nodiscard]] std::vector<sim::qdisc> qdisc_list_from_flags(
     const util::flag_set& flags);
 
-/// Registers the shared interface-keying flag on a bench's flag set:
-///   --interface-keying V   off | on | both ("both" sweeps the countermeasure
-///                          as a grid axis: one cell without, one with)
-/// `def` is the bench's default (the matrix defaults to "both" so the
-/// countermeasure study runs out of the box; scenario benches default off).
-void add_interface_keying_flag(util::flag_set& flags,
-                               const char* def = "off");
+// ---------------------------------------------------------------------------
+// World flag glue: every world_options knob a bench exposes on its command
+// line is registered and decoded here, once.
+// ---------------------------------------------------------------------------
 
-/// Decodes --interface-keying into the axis values to sweep, in off-first
-/// order ({false}, {true}, or {false, true}). An unknown value prints a
-/// friendly message and exits(1) — bench-main glue, like the AQM flags.
+/// Bench defaults of the world knobs a bench may sweep as a grid axis
+/// ("off", "on" or "both"). A null default leaves that knob's flags
+/// unregistered, so the bench runs it at its world_options default.
+struct world_flag_defaults {
+  const char* interface_keying = nullptr;  // --interface-keying
+  const char* probation_memory = nullptr;  // --probation-memory(-slots)
+  const char* cm = nullptr;                // --cm, --cm-*
+};
+
+/// Registers the world-knob flags on a bench's flag set:
+///   --sched P                  event-queue policy: heap | wheel (always
+///                              registered). Both policies fire the exact
+///                              same event order, so results and golden
+///                              digests are policy-invariant; wheel is O(1)
+///                              per op at large pending counts (see
+///                              docs/performance.md).
+///   --interface-keying V       off | on | both: the collusion
+///                              countermeasure (section 4.2)
+///   --probation-memory V       off | on | both: router probation memory
+///   --probation-memory-slots N window length in slots when on (default 8)
+///   --cm V                     off | on | both: shared congestion manager
+///   --cm-entries N             LRU state-cache capacity
+///   --cm-aging N               staleness window, slots
+///   --cm-threshold F           congestion EWMA level the cap binds above
+///   --cm-headroom F            fair-rate multiplier for the level cap
+/// "both" sweeps a knob as a grid axis: one cell without, one with.
+void add_world_flags(util::flag_set& flags,
+                     const world_flag_defaults& defaults = {});
+
+/// Decodes the registered world flags into one world_options. A swept knob
+/// takes the first entry of its axis (below); benches sweeping several
+/// override it per grid point. Knobs without flags keep their defaults, and
+/// the seed is the bench's own business. Bad values print a friendly message
+/// and exit(1) — bench-main glue, like the AQM flags.
+[[nodiscard]] world_options world_options_from_flags(
+    const util::flag_set& flags);
+
+/// The axes of the swept world knobs, in off-first order: {off}, {on}, or
+/// {off, on}. Probation memory's "on" is --probation-memory-slots. Same
+/// bad-value behaviour as world_options_from_flags.
 [[nodiscard]] std::vector<bool> interface_keying_axis_from_flags(
     const util::flag_set& flags);
-
-/// Registers the shared probation-memory flags on a bench's flag set:
-///   --probation-memory V       off | on | both ("both" sweeps the
-///                              countermeasure as a grid axis)
-///   --probation-memory-slots N window length in slots when on (default 8)
-/// `def` is the bench's default (the matrix defaults to "both" so the
-/// churn-countermeasure study runs out of the box; scenario benches default
-/// off).
-void add_probation_memory_flag(util::flag_set& flags, const char* def = "off");
-
-/// Decodes the probation-memory flags into the axis of
-/// testbed_config::probation_memory_slots values to sweep, in off-first order
-/// ({0}, {N}, or {0, N}). Bad values print a friendly message and exit(1) —
-/// bench-main glue, like the AQM flags.
 [[nodiscard]] std::vector<int> probation_memory_axis_from_flags(
     const util::flag_set& flags);
-
-/// Registers the shared congestion-manager flags on a bench's flag set:
-///   --cm V           off | on | both ("both" sweeps the shared manager as a
-///                    grid axis: one cell without, one with)
-///   --cm-entries N   LRU state-cache capacity
-///   --cm-aging N     staleness window, slots
-///   --cm-threshold F congestion EWMA level the cap binds above
-///   --cm-headroom F  fair-rate multiplier for the level cap
-/// `def` is the bench's default ("off" keeps historical single-manager
-/// benches byte-identical; fig_session_farm defaults to "both").
-void add_cm_flags(util::flag_set& flags, const char* def = "off");
-
-/// Decodes --cm into the axis values to sweep, in off-first order ({false},
-/// {true}, or {false, true}). Bad values print a friendly message and
-/// exit(1) — bench-main glue, like the AQM flags.
 [[nodiscard]] std::vector<bool> cm_axis_from_flags(const util::flag_set& flags);
-
-/// Decodes the --cm-* parameter flags into a cm_config, with the friendly
-/// bad-flag UX on out-of-range values.
-[[nodiscard]] cm::cm_config cm_config_from_flags(const util::flag_set& flags);
-
-/// Registers the shared scheduler-policy flag on a bench's flag set:
-///   --sched P   event-queue policy: heap | wheel. Both policies fire the
-///               exact same event order, so results and golden digests are
-///               policy-invariant; wheel is O(1) per op at large pending
-///               counts (see docs/performance.md).
-void add_sched_flag(util::flag_set& flags);
-
-/// Decodes --sched into a scheduler_config (parse-time enum validation means
-/// the value is already known good).
-[[nodiscard]] sim::scheduler_config sched_config_from_flags(
-    const util::flag_set& flags);
 
 /// Registers the shared population flags on a bench's flag set:
 ///   --population LIST  aggregated population size(s), comma-separated

@@ -9,8 +9,8 @@
 //
 // Threading model: the active buffer is a thread_local pointer installed by
 // trace_scope around one sweep point's world build + run. Each grid point
-// records into its own buffer, so `--jobs N` and forked `--jobs-per-process`
-// runs produce byte-identical per-row blobs (merged in row order by
+// records into its own buffer, so every `--jobs N` run produces
+// byte-identical per-row blobs (merged in row order by
 // exp::maybe_write_trace). Engine components capture current_trace() at
 // construction time — when tracing is off the captured pointer is null and
 // every hook is one predicted-not-taken branch.

@@ -3,12 +3,15 @@
 // Events at equal timestamps fire in scheduling order (FIFO tie-break via a
 // monotone sequence number) so runs are deterministic.
 //
-// The hot path is allocation-lean: callbacks live in a slab of pooled slots
-// (recycled through a free list, addressed by generation-counted handles) and
-// the priority queue orders small POD entries that point into the slab.
-// Scheduling or cancelling an event allocates nothing once the slab and the
-// queue have warmed up; callables that fit event_fn's inline buffer never
-// touch the allocator at all.
+// The queue itself is allocation-lean: callbacks live in a slab of pooled
+// slots (recycled through a free list, addressed by generation-counted
+// handles) and the priority queue orders small POD entries that point into
+// the slab. Once the slab and the queue have warmed up, scheduling or
+// cancelling an event whose callable fits event_fn's inline buffer costs the
+// scheduler no allocation; larger callables take one heap allocation each.
+// This covers the scheduler only: the work an event does (building and
+// copying packets, say) allocates on its own account, which perfbench
+// reports end to end as runtime.allocs_per_pkt.
 //
 // Two queue policies sit behind the same interface (scheduler_config):
 //

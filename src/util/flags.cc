@@ -58,7 +58,7 @@ flag_set::flag_set(std::string program_description)
 void flag_set::add(const std::string& name, const std::string& default_value,
                    const std::string& help) {
   require(!entries_.contains(name), "duplicate flag", name);
-  entry e{default_value, default_value, help, kind::other};
+  entry e{default_value, default_value, help, kind::other, {}, false};
   // An integer-looking default still marks the flag merely numeric: many
   // benches declare "--duration 120" but read it with f64(), so "12.5" must
   // stay a valid value.

@@ -47,6 +47,11 @@ class flag_set {
   /// unknown/malformed flag, or on a value that fails the flag's type check.
   bool parse(int argc, const char* const* argv);
 
+  /// True when `name` was declared (by add or add_enum).
+  [[nodiscard]] bool has(const std::string& name) const {
+    return entries_.contains(name);
+  }
+
   [[nodiscard]] std::string str(const std::string& name) const;
   [[nodiscard]] std::int64_t i64(const std::string& name) const;
   [[nodiscard]] double f64(const std::string& name) const;

@@ -78,59 +78,6 @@ TEST(adversary_profiles, factories_fill_their_fields) {
   EXPECT_TRUE(g.attacks());
 }
 
-TEST(adversary_shim, legacy_inflate_fields_translate_to_inflate_once) {
-  exp::receiver_options legacy;
-  legacy.inflate = true;
-  legacy.inflate_at = sim::seconds(5.0);
-  legacy.inflate_level = 4;
-  legacy.attack_keys = key_mode::replay;
-  const profile p = legacy.effective_profile();
-  EXPECT_EQ(p.kind, strategy_kind::inflate_once);
-  EXPECT_EQ(p.start, sim::seconds(5.0));
-  EXPECT_EQ(p.inflate_level, 4);
-  EXPECT_EQ(p.keys, key_mode::replay);
-
-  // Honest by default.
-  EXPECT_EQ(exp::receiver_options{}.effective_profile().kind,
-            strategy_kind::honest);
-
-  // Setting both the shim and a profile is ambiguous and rejected.
-  legacy.attack = deaf_receiver(sim::seconds(1.0));
-  EXPECT_THROW((void)legacy.effective_profile(), util::invariant_error);
-}
-
-TEST(adversary_shim, legacy_and_profile_worlds_are_bit_identical) {
-  // The inflate_once port must reproduce the legacy attacker exactly —
-  // same strategy class, same seed-chain position — in both protocol
-  // worlds.
-  const auto run = [](exp::flid_mode mode, bool legacy) {
-    exp::dumbbell_config cfg;
-    cfg.bottleneck_bps = 1e6;
-    cfg.seed = 11;
-    exp::testbed d(exp::dumbbell(cfg));
-    exp::receiver_options attacker;
-    if (legacy) {
-      attacker.inflate = true;
-      attacker.inflate_at = sim::seconds(20.0);
-      attacker.attack_keys = key_mode::guess;
-    } else {
-      attacker.attack = inflate_once(sim::seconds(20.0), key_mode::guess);
-    }
-    auto& rogue = d.add_flid_session(mode, {attacker});
-    auto& honest = d.add_flid_session(mode, {exp::receiver_options{}});
-    d.run_until(sim::seconds(60.0));
-    std::ostringstream sig;
-    sig << rogue.receiver().monitor().total_bytes() << '/'
-        << honest.receiver().monitor().total_bytes();
-    for (const auto& [t, lvl] : rogue.receiver().level_history()) {
-      sig << ' ' << t << ':' << lvl;
-    }
-    return sig.str();
-  };
-  EXPECT_EQ(run(exp::flid_mode::dl, true), run(exp::flid_mode::dl, false));
-  EXPECT_EQ(run(exp::flid_mode::ds, true), run(exp::flid_mode::ds, false));
-}
-
 TEST(collusion_coordinator_pool, deposit_lookup_and_pruning) {
   collusion_coordinator pool;
   const crypto::group_key k1{0xabcd};

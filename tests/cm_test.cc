@@ -4,7 +4,7 @@
 // single-session worlds, multi-session worlds may differ ONLY where the cap
 // actually bound, and the LRU/aging/EWMA laws of the state table must match
 // hand-computed expectations. The sweep integration (mini session farm) must
-// stay byte-identical across --jobs 1 / --jobs 4 / forked workers.
+// stay byte-identical across --jobs 1 / --jobs 4.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -371,13 +371,6 @@ TEST(cm_sweep, session_farm_rows_are_jobs_invariant) {
   threaded.base_seed = 21;
   const std::string reference = farm_sweep_json(serial);
   EXPECT_EQ(reference, farm_sweep_json(threaded));
-#ifdef __unix__
-  exp::sweep_options forked;
-  forked.jobs_per_process = 3;
-  forked.base_seed = 21;
-  EXPECT_EQ(reference, farm_sweep_json(forked))
-      << "session-farm rows must survive the worker pipe bit-exactly";
-#endif
 }
 
 }  // namespace

@@ -76,8 +76,7 @@ TEST(flid_ds, misbehaving_receiver_before_attack_behaves_honestly) {
   cfg.bottleneck_bps = 10e6;
   testbed d(dumbbell(cfg));
   receiver_options opt;
-  opt.inflate = true;
-  opt.inflate_at = sim::seconds(1e6);  // never triggers in this run
+  opt.attack = adversary::inflate_once(sim::seconds(1e6));  // never triggers
   auto& s = d.add_flid_session(flid_mode::ds, {opt});
   d.run_until(sim::seconds(60.0));
   EXPECT_EQ(s.receiver().level(), s.config.num_groups);
@@ -89,9 +88,8 @@ TEST(flid_ds, replay_attack_is_rejected) {
   cfg.bottleneck_bps = 250e3;  // congested: honest level ~3
   testbed d(dumbbell(cfg));
   receiver_options attacker;
-  attacker.inflate = true;
-  attacker.inflate_at = sim::seconds(30.0);
-  attacker.attack_keys = misbehaving_sigma_strategy::key_mode::replay;
+  attacker.attack = adversary::inflate_once(
+      sim::seconds(30.0), misbehaving_sigma_strategy::key_mode::replay);
   auto& s = d.add_flid_session(flid_mode::ds, {attacker});
   d.run_until(sim::seconds(120.0));
   // Replayed (stale-slot) keys never validate: invalid submissions pile up

@@ -157,15 +157,72 @@ TEST(scenario, access_links_default_to_droptail) {
   EXPECT_EQ(d.bottleneck()->config().aqm.discipline, sim::qdisc::codel);
 }
 
+TEST(scenario, every_factory_carries_every_world_knob) {
+  // Each world_options field set to a non-default value must reach the
+  // testbed_config of all four scenario factories unchanged.
+  world_options w;
+  w.access_bps = 3e6;
+  w.access_delay = sim::milliseconds(7);
+  w.buffer_bdp = 1.5;
+  w.base_rtt = sim::milliseconds(60);
+  w.access_aqm.discipline = sim::qdisc::red;
+  w.access_aqm.seed = 77;
+  w.interface_keying = true;
+  w.probation_memory_slots = 5;
+  w.sched.policy = sim::sched_policy::wheel;
+  w.sched.wheel_granularity = 4096;
+  w.cm = true;
+  w.cm_params.max_entries = 9;
+  w.cm_params.headroom = 2.0;
+  w.seed = 1234;
+  const world_options defaults{};
+  ASSERT_NE(w.access_bps, defaults.access_bps);
+  ASSERT_NE(w.access_delay, defaults.access_delay);
+  ASSERT_NE(w.buffer_bdp, defaults.buffer_bdp);
+  ASSERT_NE(w.base_rtt, defaults.base_rtt);
+  ASSERT_NE(w.sched.wheel_granularity, defaults.sched.wheel_granularity);
+  ASSERT_NE(w.cm_params.max_entries, defaults.cm_params.max_entries);
+  ASSERT_NE(w.seed, defaults.seed);
+
+  dumbbell_config d;
+  d.world() = w;
+  parking_lot_config p;
+  p.world() = w;
+  star_config st;
+  st.world() = w;
+  tree_config t;
+  t.world() = w;
+  const struct {
+    const char* name;
+    testbed_config cfg;
+  } built[] = {{"dumbbell", dumbbell(d)},
+               {"parking_lot", parking_lot(p)},
+               {"star", star(st)},
+               {"tree", balanced_tree(t)}};
+  for (const auto& [name, cfg] : built) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(cfg.access_bps, w.access_bps);
+    EXPECT_EQ(cfg.access_delay, w.access_delay);
+    EXPECT_EQ(cfg.buffer_bdp, w.buffer_bdp);
+    EXPECT_EQ(cfg.base_rtt, w.base_rtt);
+    EXPECT_EQ(cfg.access_aqm.discipline, sim::qdisc::red);
+    EXPECT_EQ(cfg.access_aqm.seed, 77u);
+    EXPECT_TRUE(cfg.interface_keying);
+    EXPECT_EQ(cfg.probation_memory_slots, 5);
+    EXPECT_EQ(cfg.sched.policy, sim::sched_policy::wheel);
+    EXPECT_EQ(cfg.sched.wheel_granularity, 4096);
+    EXPECT_TRUE(cfg.cm);
+    EXPECT_EQ(cfg.cm_params.max_entries, 9);
+    EXPECT_EQ(cfg.cm_params.headroom, 2.0);
+    EXPECT_EQ(cfg.seed, 1234u);
+  }
+}
+
 TEST(scenario, interface_keying_threads_from_config_to_every_edge) {
   // Off by default; when a scenario config switches it on, every edge agent
   // the testbed creates validates interface-perturbed keys, and the
   // receiver strategies compiled for that testbed submit them — an honest
   // DS session must climb exactly as without the countermeasure.
-  EXPECT_FALSE(dumbbell_config{}.interface_keying);
-  EXPECT_FALSE(tree_config{}.interface_keying);
-  EXPECT_FALSE(testbed_config{}.interface_keying);
-
   dumbbell_config cfg;
   cfg.bottleneck_bps = 10e6;
   cfg.interface_keying = true;
@@ -278,8 +335,7 @@ TEST(scenario, parking_lot_attacker_behind_second_bottleneck_is_contained) {
   honest_near.at = "r1";
   receiver_options attacker_far;
   attacker_far.at = "r2";
-  attacker_far.inflate = true;
-  attacker_far.inflate_at = sim::seconds(30.0);
+  attacker_far.attack = adversary::inflate_once(sim::seconds(30.0));
   auto& session =
       d.add_flid_session(flid_mode::ds, {honest_near, attacker_far});
   flow_options tcp_far;  // competes on both bottlenecks
